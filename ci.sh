@@ -42,13 +42,21 @@ echo "== speculative equivalence =="
 VEGA_THREADS=1 cargo test -q -p vega-nn --test spec_equivalence
 VEGA_THREADS=4 cargo test -q -p vega-nn --test spec_equivalence
 
+# Scoring sessions: one encoder pass per statement must answer the greedy
+# head and every candidate score bit-identically to fresh `greedy` and
+# `forced_logprob` calls (shared prefixes, repeats, strict prefixes,
+# truncation, empty candidates), for the transformer and the GRU.
+echo "== session equivalence =="
+VEGA_THREADS=1 cargo test -q -p vega-nn --test session_equivalence
+VEGA_THREADS=4 cargo test -q -p vega-nn --test session_equivalence
+
 # Kernel matrix: every kernel mode this CPU can run (scalar always; avx2
 # when the CPU reports it — a forced `VEGA_KERNEL=avx2` on a host without
 # AVX2 falls back to scalar with a logged notice, so the avx2 leg would be
 # vacuous there) must pass the kernel conformance property suite, the
-# per-mode determinism suite, and the decode/batch equivalence suites, at
-# pool sizes 1 and 4. The decode bench smoke below then pins the per-ISA
-# throughput rows and the AVX2-vs-scalar floors.
+# per-mode determinism suite, and the decode/batch/speculative/session
+# equivalence suites, at pool sizes 1 and 4. The decode bench smoke below
+# then pins the per-ISA throughput rows and the AVX2-vs-scalar floors.
 echo "== kernel matrix =="
 KERNEL_MODES="scalar"
 if grep -q avx2 /proc/cpuinfo 2>/dev/null; then
@@ -62,7 +70,7 @@ for km in $KERNEL_MODES; do
     VEGA_KERNEL=$km VEGA_THREADS=$vt cargo test -q -p vega-nn \
       --test kernel_conformance --test kernel_determinism \
       --test decode_equivalence --test batch_equivalence \
-      --test spec_equivalence
+      --test spec_equivalence --test session_equivalence
   done
 done
 

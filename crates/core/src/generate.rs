@@ -19,7 +19,7 @@ use crate::template::{FunctionTemplate, PatTok, StmtTemplate};
 use std::collections::{BTreeMap, HashSet};
 use std::time::Instant;
 use vega_cpplite::{lex, parse_function, Function, Stmt, StmtKind, Token};
-use vega_model::{split_ident, CodeBe, DecodeAbort, TargetNorm};
+use vega_model::{split_ident, CodeBe, DecodeAbort, ModelSession, TargetNorm};
 
 /// One generated statement with its confidence.
 #[derive(Debug, Clone)]
@@ -390,11 +390,13 @@ pub fn try_generate_function(
             &values,
             max_input_len,
         );
+        // One session per statement: its single encoder pass serves the
+        // confidence head and every slot candidate scored below.
+        let mut session = model.begin_session(&input);
         // 1. Presence + confidence: the first decoded token is the score.
-        let head_decode = model.try_generate(&input, 2, deadline)?;
-        let score = head_decode
-            .first()
-            .and_then(|&id| model.vocab.score_of(id))
+        let score_id = session.try_head(deadline)?;
+        let score = score_id
+            .and_then(|id| model.vocab.score_of(id))
             .unwrap_or(0.0);
         obs.observe_with("generate.confidence", &conf_buckets, score);
         let kept = score >= 0.5;
@@ -419,9 +421,17 @@ pub fn try_generate_function(
         // each slot filled by the candidate CodeBE assigns the highest
         // probability (§2.4: "selecting the correct combination of values for
         // each SV_k … heavily depends on the statement's context").
-        let score_id = head_decode.first().copied();
         let (head, out_ids) = realize_statement(
-            model, &norm, &input, node, node_id, feats, ix, score_id, &mut state, deadline,
+            model,
+            &mut session,
+            &norm,
+            node,
+            node_id,
+            feats,
+            ix,
+            score_id,
+            &mut state,
+            deadline,
         )?;
         let line = Stmt::new(node.kind, head.clone(), Vec::new()).head_line();
         // A realization no candidate could make parseable is recorded but
@@ -517,13 +527,15 @@ fn slot_candidate_runs(
 
 /// Realizes a statement's head by filling each slot with the candidate the
 /// model scores highest (sequential left-to-right choice, remaining slots
-/// held at their prior-best). Fallible because candidate scoring runs the
-/// model, which can abort at `deadline` when routed through a backend.
+/// held at their prior-best). Candidates are scored on the statement's
+/// `session`, so they share its encoder pass and their common prefixes.
+/// Fallible because candidate scoring runs the model, which can abort at
+/// `deadline` when routed through a backend.
 #[allow(clippy::too_many_arguments)]
 fn realize_statement(
-    model: &mut CodeBe,
+    model: &CodeBe,
+    session: &mut ModelSession<'_>,
     norm: &TargetNorm,
-    input: &[usize],
     node: &StmtTemplate,
     node_id: usize,
     feats: &TemplateFeatures,
@@ -595,8 +607,7 @@ fn realize_statement(
                     continue;
                 }
                 let ids = with_score(&realize_ids(model, &trial));
-                let lp =
-                    model.try_sequence_logprob(input, &ids, deadline)? / ids.len().max(1) as f32;
+                let lp = session.try_sequence_logprob(&ids, deadline)? / ids.len().max(1) as f32;
                 if best.is_none() || lp > best.unwrap().0 {
                     best = Some((lp, ci));
                 }

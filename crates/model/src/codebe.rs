@@ -10,7 +10,9 @@ use crate::backend::{BackendHandle, DecodeAbort};
 use crate::vocab::{Special, Vocab};
 use std::sync::Arc;
 use std::time::Instant;
-use vega_nn::{BatchDecode, GruConfig, GruSeq2Seq, Seq2Seq, Transformer, TransformerConfig};
+use vega_nn::{
+    BatchDecode, GruConfig, GruSeq2Seq, ScoreSession, Seq2Seq, Transformer, TransformerConfig,
+};
 use vega_obs::json::{Json, JsonError};
 use vega_obs::{CurvePoint, TrainingCurve};
 
@@ -95,6 +97,62 @@ pub struct CodeBe {
     draft: Option<Arc<GruSeq2Seq>>,
     /// Speculation depth k (tokens drafted per verifier pass).
     spec_depth: usize,
+}
+
+/// A decode session over one input, opened by [`CodeBe::begin_session`].
+pub struct ModelSession<'a> {
+    inner: SessionInner<'a>,
+    bos: usize,
+    eos: usize,
+}
+
+/// Where a session's calls go. One lives on the stack per open session,
+/// so the variants' size difference is not worth a `Box`.
+#[allow(clippy::large_enum_variant)]
+enum SessionInner<'a> {
+    Local(ScoreSession<'a>),
+    Backend {
+        backend: &'a BackendHandle,
+        input: Vec<usize>,
+    },
+}
+
+impl ModelSession<'_> {
+    /// The first token greedy generation emits for the session's input —
+    /// the first token of `try_generate(input, 2, deadline)`, `None` when
+    /// that is empty. In template-guided generation this is the statement's
+    /// confidence score token.
+    ///
+    /// # Errors
+    /// Returns [`DecodeAbort`] only when a backend is installed and aborts.
+    pub fn try_head(&mut self, deadline: Option<Instant>) -> Result<Option<usize>, DecodeAbort> {
+        match &mut self.inner {
+            SessionInner::Local(s) => Ok(s.head(self.bos, self.eos)),
+            SessionInner::Backend { backend, input } => Ok(backend
+                .backend()
+                .generate(input, 2, deadline)?
+                .first()
+                .copied()),
+        }
+    }
+
+    /// Log-probability of the model emitting `output` for the session's
+    /// input; bit-identical to [`CodeBe::try_sequence_logprob`].
+    ///
+    /// # Errors
+    /// Returns [`DecodeAbort`] only when a backend is installed and aborts.
+    pub fn try_sequence_logprob(
+        &mut self,
+        output: &[usize],
+        deadline: Option<Instant>,
+    ) -> Result<f32, DecodeAbort> {
+        match &mut self.inner {
+            SessionInner::Local(s) => Ok(s.score_sequence(output, self.bos, self.eos)),
+            SessionInner::Backend { backend, input } => {
+                backend.backend().sequence_logprob(input, output, deadline)
+            }
+        }
+    }
 }
 
 /// Deterministic shuffling/masking RNG (splitmix64, private copy).
@@ -323,7 +381,9 @@ impl CodeBe {
     /// model's vocabulary (same subword table) — drafts are only consulted
     /// for *proposals*, so a mismatched draft degrades throughput, never
     /// correctness. Speculation applies to [`CodeBe::try_generate`] on a
-    /// transformer model without a decode backend; every other combination
+    /// transformer model without a decode backend (not to
+    /// [`ModelSession::try_head`], so in stage 3 only the signature decode
+    /// speculates and the `spec.*` counters cover it alone); every other combination
     /// degrades gracefully to plain greedy with a logged warning (mirroring
     /// `VEGA_KERNEL=avx2` on a non-AVX2 CPU).
     pub fn set_speculative(&mut self, draft: Option<Arc<GruSeq2Seq>>, k: usize) {
@@ -437,7 +497,8 @@ impl CodeBe {
     }
 
     /// Forced-sequence log-probability with an optional deadline; deadline
-    /// semantics match [`CodeBe::try_generate`].
+    /// semantics match [`CodeBe::try_generate`]. A one-candidate
+    /// [`CodeBe::begin_session`].
     ///
     /// # Errors
     /// Returns [`DecodeAbort`] only when a backend is installed and aborts.
@@ -447,15 +508,31 @@ impl CodeBe {
         output: &[usize],
         deadline: Option<Instant>,
     ) -> Result<f32, DecodeAbort> {
-        if let Some(b) = &self.backend {
-            return b.backend().sequence_logprob(input, output, deadline);
+        self.begin_session(input)
+            .try_sequence_logprob(output, deadline)
+    }
+
+    /// Opens a decode session over `input`: one encoder pass serves the
+    /// greedy head ([`ModelSession::try_head`]) and every candidate scoring
+    /// ([`ModelSession::try_sequence_logprob`]) of that input, with shared
+    /// candidate prefixes decoded once (see [`vega_nn::ScoreSession`]).
+    /// Results are bit-identical to calling [`CodeBe::try_generate`] and
+    /// [`CodeBe::try_sequence_logprob`] separately. With a decode backend
+    /// installed, the session forwards each call to the backend unchanged.
+    pub fn begin_session(&self, input: &[usize]) -> ModelSession<'_> {
+        let inner = match (&self.backend, &self.model) {
+            (Some(backend), _) => SessionInner::Backend {
+                backend,
+                input: input.to_vec(),
+            },
+            (None, ModelKind::Transformer(t)) => SessionInner::Local(t.begin_scoring(input)),
+            (None, ModelKind::Gru(g)) => SessionInner::Local(g.begin_scoring(input)),
+        };
+        ModelSession {
+            inner,
+            bos: self.vocab.special(Special::Bos),
+            eos: self.vocab.special(Special::Eos),
         }
-        let bos = self.vocab.special(Special::Bos);
-        let eos = self.vocab.special(Special::Eos);
-        Ok(self
-            .model
-            .as_seq2seq()
-            .sequence_logprob(input, output, bos, eos))
     }
 
     /// Starts a batch of `capacity` incremental decode slots over this

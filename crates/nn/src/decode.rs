@@ -50,8 +50,10 @@ use crate::tensor::Tensor;
 use crate::transformer::{AttnParams, FfParams, LnParams, Transformer};
 use std::sync::Arc;
 
-/// Per-thread decode attribution: how many tokens the *current thread* has
-/// decoded, and how long the decode steps took, since the last [`reset`].
+/// Per-thread model attribution: how many tokens the *current thread* has
+/// decoded, how long those decode steps took, and how long all model work
+/// (encoder passes, decode steps, candidate scoring) took, since the last
+/// [`reset`].
 ///
 /// The global obs registry aggregates `decode.tokens` /
 /// `decode.step_seconds` across every thread in the process, which is right
@@ -60,26 +62,40 @@ use std::sync::Arc;
 /// worker picked the job up, so a thread-local tally that the serve engine
 /// resets before calling `generate_function` and snapshots after is an exact
 /// per-request attribution — no locks, no ids threaded through the model
-/// layer. Both greedy decode loops (transformer and GRU) bump it alongside
-/// the global counters.
+/// layer. Every greedy decode step (transformer, GRU, speculative, session
+/// head) bumps the decode part; every encoder pass and every session score
+/// bumps the model part only.
 pub mod tally {
     use std::cell::Cell;
 
     thread_local! {
         static TOKENS: Cell<u64> = const { Cell::new(0) };
         static SECONDS: Cell<f64> = const { Cell::new(0.0) };
+        static MODEL_SECONDS: Cell<f64> = const { Cell::new(0.0) };
+    }
+
+    /// The calling thread's tally since the last [`reset`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Tally {
+        /// Greedy-decoded tokens.
+        pub tokens: u64,
+        /// Time spent in those decode steps.
+        pub decode_seconds: f64,
+        /// Time spent in all model work: encoder passes, decode steps and
+        /// candidate scoring. Never less than `decode_seconds`.
+        pub model_seconds: f64,
     }
 
     /// Zeroes the calling thread's tally (call before a generation).
     pub fn reset() {
         TOKENS.with(|t| t.set(0));
         SECONDS.with(|s| s.set(0.0));
+        MODEL_SECONDS.with(|s| s.set(0.0));
     }
 
     /// Records one decoded token that took `seconds` on this thread.
     pub fn bump(seconds: f64) {
-        TOKENS.with(|t| t.set(t.get() + 1));
-        SECONDS.with(|s| s.set(s.get() + seconds));
+        bump_n(1, seconds);
     }
 
     /// Records `tokens` decoded tokens that took `seconds` in one call.
@@ -92,11 +108,22 @@ pub mod tally {
     pub fn bump_n(tokens: u64, seconds: f64) {
         TOKENS.with(|t| t.set(t.get() + tokens));
         SECONDS.with(|s| s.set(s.get() + seconds));
+        bump_model(seconds);
     }
 
-    /// The calling thread's `(tokens, seconds)` since the last [`reset`].
-    pub fn snapshot() -> (u64, f64) {
-        (TOKENS.with(Cell::get), SECONDS.with(Cell::get))
+    /// Records `seconds` of model work that decoded no token (an encoder
+    /// pass, a candidate scoring).
+    pub fn bump_model(seconds: f64) {
+        MODEL_SECONDS.with(|s| s.set(s.get() + seconds));
+    }
+
+    /// The calling thread's tally since the last [`reset`].
+    pub fn snapshot() -> Tally {
+        Tally {
+            tokens: TOKENS.with(Cell::get),
+            decode_seconds: SECONDS.with(Cell::get),
+            model_seconds: MODEL_SECONDS.with(Cell::get),
+        }
     }
 }
 
@@ -203,6 +230,12 @@ fn relu(x: &Tensor) -> Tensor {
     )
 }
 
+/// Accounts one forward-only encoder pass that started at `t0`.
+fn note_encode(t0: std::time::Instant) {
+    vega_obs::global().counter_add("decode.encodes", 1);
+    tally::bump_model(t0.elapsed().as_secs_f64());
+}
+
 impl Transformer {
     fn embed_with_pos_fwd(&self, ids: &[usize]) -> Tensor {
         let tok = self.store.value(self.tok_emb);
@@ -273,7 +306,11 @@ impl Transformer {
     /// cross-attention K/V once, and allocates the self-attention caches and
     /// scratch buffers. Subsequent [`DecodeState::step`] calls cost one
     /// token-row pass through the decoder instead of a full-prefix re-run.
+    ///
+    /// Each call is one encoder pass: it bumps the `decode.encodes` counter
+    /// and adds its time to the [`tally`]'s model part.
     pub fn begin_decode(&self, src: &[usize]) -> DecodeState<'_> {
+        let t0 = std::time::Instant::now();
         let src = &src[..src.len().min(self.cfg.max_len)];
         let enc = self.encode_fwd(src);
         let d = self.cfg.d_model;
@@ -299,6 +336,7 @@ impl Transformer {
             self_k.push(sk);
             self_v.push(sv);
         }
+        note_encode(t0);
         DecodeState {
             model: self,
             wt: self.out_proj_t(),
@@ -768,7 +806,10 @@ impl GruSeq2Seq {
     /// runs the encoder once and seeds the decoder hidden state, which is
     /// then carried across [`GruDecodeState::step`] calls instead of being
     /// recomputed from scratch per token on a fresh graph.
+    ///
+    /// Counts and times the encoder pass like [`Transformer::begin_decode`].
     pub fn begin_decode(&self, src: &[usize]) -> GruDecodeState<'_> {
+        let t0 = std::time::Instant::now();
         let src = &src[..src.len().min(self.cfg.max_len)];
         let d = self.cfg.d_model;
         let mut st = GruDecodeState {
@@ -786,6 +827,7 @@ impl GruSeq2Seq {
         for &id in src {
             st.cell_fwd(&self.enc, emb.row(id));
         }
+        note_encode(t0);
         st
     }
 
@@ -868,6 +910,11 @@ impl GruDecodeState<'_> {
             &mut self.logits,
         );
         &self.logits
+    }
+
+    /// The current recurrent hidden state.
+    pub(crate) fn hidden(&self) -> &[f32] {
+        &self.h
     }
 
     /// Snapshots the recurrent hidden state. With [`GruDecodeState::restore`]

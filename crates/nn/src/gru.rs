@@ -349,19 +349,7 @@ impl Seq2Seq for GruSeq2Seq {
     }
 
     fn forced_logprob(&mut self, src: &[usize], tgt_in: &[usize], tgt_out: &[usize]) -> f32 {
-        let src = &src[..src.len().min(self.cfg.max_len)];
-        let n = tgt_in.len().min(tgt_out.len()).min(self.cfg.max_len);
-        let (tgt_in, tgt_out) = (&tgt_in[..n], &tgt_out[..n]);
-        let mut probs = vec![0.0f32; self.cfg.vocab];
-        let mut st = self.begin_decode(src);
-        let mut lp = 0.0f32;
-        for (&ti, &to) in tgt_in.iter().zip(tgt_out.iter()) {
-            probs.copy_from_slice(st.step(ti));
-            crate::decode::softmax_row(&mut probs);
-            lp += probs[to].max(1e-12).ln();
-        }
-        vega_obs::global().counter_add("decode.scored_tokens", n as u64);
-        lp
+        self.begin_scoring(src).score(tgt_in, tgt_out)
     }
 }
 

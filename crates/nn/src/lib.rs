@@ -15,6 +15,9 @@
 //! decoding on top: a [`GruSeq2Seq`] drafts tokens and the transformer
 //! verifies them in one multi-position pass ([`DecodeState::step_many`]),
 //! emitting the same bit-identical stream in fewer forward passes.
+//! [`ScoreSession`] (see the [`mod@session`] module docs) encodes an input
+//! once and then answers the greedy head and any number of teacher-forced
+//! candidate scorings from it, reusing shared candidate prefixes.
 //!
 //! Every hot inner loop dispatches through the [`mod@kernel`] tier: a
 //! [`Kernel`] trait with a scalar reference implementation and a
@@ -47,6 +50,7 @@ mod gru;
 pub mod kernel;
 mod params;
 mod seq2seq;
+pub mod session;
 pub mod speculate;
 pub mod storage;
 mod tensor;
@@ -58,6 +62,7 @@ pub use gru::{GruConfig, GruSeq2Seq};
 pub use kernel::{Isa, Kernel, KernelMode};
 pub use params::{Init, ParamId, ParamStore};
 pub use seq2seq::{argmax, looks_degenerate, train_until, Seq2Seq};
+pub use session::ScoreSession;
 pub use speculate::{speculative_greedy, SpecReport};
 pub use storage::{ByteRegion, TensorTable};
 pub use tensor::Tensor;

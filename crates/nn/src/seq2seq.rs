@@ -33,23 +33,26 @@ pub trait Seq2Seq {
 
     /// Log-probability of emitting `tgt` (with BOS/EOS handling) given `src`.
     fn sequence_logprob(&mut self, src: &[usize], tgt: &[usize], bos: usize, eos: usize) -> f32 {
-        let mut tgt_in = Vec::with_capacity(tgt.len() + 1);
-        tgt_in.push(bos);
-        tgt_in.extend_from_slice(tgt);
-        let mut tgt_out = tgt.to_vec();
-        tgt_out.push(eos);
+        let (tgt_in, tgt_out) = frame(tgt, bos, eos);
         self.forced_logprob(src, &tgt_in, &tgt_out)
     }
 
     /// Teacher-forced training loss for `(src, tgt)` with BOS prepended.
     fn train_example(&mut self, src: &[usize], tgt: &[usize], bos: usize, eos: usize) -> f32 {
-        let mut tgt_in = Vec::with_capacity(tgt.len() + 1);
-        tgt_in.push(bos);
-        tgt_in.extend_from_slice(tgt);
-        let mut tgt_out = tgt.to_vec();
-        tgt_out.push(eos);
+        let (tgt_in, tgt_out) = frame(tgt, bos, eos);
         self.train_pair(src, &tgt_in, &tgt_out)
     }
+}
+
+/// The teacher-forcing frame of a target: decoder input `[bos] + tgt` and
+/// expected output `tgt + [eos]`.
+pub(crate) fn frame(tgt: &[usize], bos: usize, eos: usize) -> (Vec<usize>, Vec<usize>) {
+    let mut tgt_in = Vec::with_capacity(tgt.len() + 1);
+    tgt_in.push(bos);
+    tgt_in.extend_from_slice(tgt);
+    let mut tgt_out = tgt.to_vec();
+    tgt_out.push(eos);
+    (tgt_in, tgt_out)
 }
 
 /// NaN-safe argmax over a logits row, tie-breaking to the **lowest** token

@@ -393,25 +393,9 @@ impl Seq2Seq for Transformer {
     }
 
     fn forced_logprob(&mut self, src: &[usize], tgt_in: &[usize], tgt_out: &[usize]) -> f32 {
-        let src = &src[..src.len().min(self.cfg.max_len)];
-        let n = tgt_in.len().min(tgt_out.len()).min(self.cfg.max_len);
-        let (tgt_in, tgt_out) = (&tgt_in[..n], &tgt_out[..n]);
-        let vocab = self.cfg.vocab;
-        let mut probs = vec![0.0f32; vocab];
-        // The whole forced prefix is known up front, so score it in one
-        // multi-position pass (prompt prefill) instead of n single steps.
-        // Bit-identical to the token-at-a-time loop: `step_many` is pinned
-        // against repeated `step` by the spec-equivalence suite.
-        let mut st = self.begin_decode(src);
-        let rows = st.step_many(tgt_in);
-        let mut lp = 0.0f32;
-        for (r, &to) in tgt_out.iter().enumerate() {
-            probs.copy_from_slice(&rows[r * vocab..(r + 1) * vocab]);
-            crate::decode::softmax_row(&mut probs);
-            lp += probs[to].max(1e-12).ln();
-        }
-        vega_obs::global().counter_add("decode.scored_tokens", n as u64);
-        lp
+        // A one-candidate session: the forced prefix is known up front, so
+        // it is scored in one multi-position pass (prompt prefill).
+        self.begin_scoring(src).score(tgt_in, tgt_out)
     }
 }
 

@@ -98,6 +98,7 @@ fn score_candidates(pair_ix: usize, cands: usize, cand_len: usize) -> Vec<Vec<us
 struct TimingTally {
     queue_ms: u64,
     decode_ms: f64,
+    model_ms: f64,
     tokens: u64,
     cache_hit: u64,
     cache_miss: u64,
@@ -118,6 +119,7 @@ impl TimingTally {
         let num = |k: &str| -> f64 { timing.field(k).and_then(|v| v.as_f64()).unwrap_or(0.0) };
         self.queue_ms += num("queue_ms") as u64;
         self.decode_ms += num("decode_ms");
+        self.model_ms += num("model_ms");
         self.tokens += num("tokens") as u64;
         match timing.field("cache").ok().and_then(|c| c.as_str().ok()) {
             Some("hit") => self.cache_hit += 1,
@@ -129,6 +131,7 @@ impl TimingTally {
     fn merge(&mut self, other: &TimingTally) {
         self.queue_ms += other.queue_ms;
         self.decode_ms += other.decode_ms;
+        self.model_ms += other.model_ms;
         self.tokens += other.tokens;
         self.cache_hit += other.cache_hit;
         self.cache_miss += other.cache_miss;
@@ -500,10 +503,11 @@ fn main() {
 
     // Server-reported per-request timing breakdown, aggregated.
     println!(
-        "loadgen: timing queue_ms={} decode_ms={:.1} tokens={} \
+        "loadgen: timing queue_ms={} decode_ms={:.1} model_ms={:.1} tokens={} \
          cache_hit={} cache_miss={} coalesced={}",
         timing.queue_ms,
         timing.decode_ms,
+        timing.model_ms,
         timing.tokens,
         timing.cache_hit,
         timing.cache_miss,

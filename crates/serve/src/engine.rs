@@ -241,9 +241,11 @@ impl Engine {
     /// candidates are scored **concurrently** — each joins the running
     /// batch at a token boundary, so one request's candidates amortize
     /// weight reads against each other and against other requests. Without
-    /// a backend, candidates are scored sequentially on the replica with a
-    /// deadline check between candidates (matching replica-mode generate,
-    /// which enforces deadlines at dispatch boundaries).
+    /// a backend, candidates are scored sequentially on one session of the
+    /// replica (one encoder pass for the whole request, shared prefixes
+    /// decoded once) with a deadline check between candidates (matching
+    /// replica-mode generate, which enforces deadlines at dispatch
+    /// boundaries).
     ///
     /// # Errors
     /// [`ErrorKind::UnknownTarget`] / [`ErrorKind::UnknownGroup`] as in
@@ -308,6 +310,9 @@ impl Engine {
             })
             .map_err(abort_error)
         } else {
+            // One session: one encoder pass for every candidate, and
+            // candidates sharing a prefix decode it once.
+            let mut session = model.begin_session(&sig_input);
             let mut scores = Vec::with_capacity(candidates.len());
             for cand in candidates {
                 if let Some(d) = deadline {
@@ -316,8 +321,8 @@ impl Engine {
                     }
                 }
                 scores.push(
-                    model
-                        .try_sequence_logprob(&sig_input, cand, deadline)
+                    session
+                        .try_sequence_logprob(cand, deadline)
                         .map_err(abort_error)?,
                 );
             }

@@ -42,7 +42,13 @@
 //! `{"id":…,"ok":false,"error":"<kind>","message":"…"}`. Generation
 //! responses carry the rendered function in `result` plus `cached` /
 //! `coalesced` flags, the echoed `trace` (when one was sent), and a `timing`
-//! breakdown (`queue_ms`, `cache`, `decode_ms`, `tokens`); `result` is
+//! breakdown (`queue_ms`, `cache`, `decode_ms`, `model_ms`, `tokens`).
+//! `decode_ms` is the time of the greedy decode steps that emitted `tokens`;
+//! `model_ms` is all model work on the dispatch worker — encoder passes,
+//! those decode steps and slot-candidate scoring — so
+//! `decode_ms <= model_ms <=` the request's latency. Under the batch engine
+//! the broker runs encoder passes and scoring on its own thread, and
+//! `model_ms` covers the decode-step shares only. `result` is
 //! rendered by [`render_generated`] on both the serving and the verifying
 //! side, which is what makes byte-identity checkable — which is exactly why
 //! `trace`/`timing` live in the envelope beside `result`, never inside it.

@@ -160,22 +160,26 @@ struct Job {
     models: Arc<ModelSet>,
 }
 
+/// The work behind one generated payload, as reported in the `timing`
+/// envelope.
+#[derive(Debug, Clone, Copy, Default)]
+struct WorkTiming {
+    /// Queue wait of the job that produced the payload, in ms.
+    queue_ms: u64,
+    /// Greedy decode-step time attributed to the generation, in ms.
+    decode_ms: f64,
+    /// All model time on the worker (encoder passes, decode steps,
+    /// candidate scoring), in ms; never less than `decode_ms`.
+    model_ms: f64,
+    /// Tokens the greedy decoder emitted for the generation.
+    tokens: u64,
+}
+
 /// What a waiter receives when its job resolves.
 #[derive(Debug, Clone)]
 enum Outcome {
-    Done {
-        payload: Json,
-        /// Queue wait of the job that produced the payload, in ms.
-        queue_ms: u64,
-        /// Decode time attributed to the generation, in ms.
-        decode_ms: f64,
-        /// Tokens the greedy decoder emitted for the generation.
-        tokens: u64,
-    },
-    Failed {
-        kind: ErrorKind,
-        msg: String,
-    },
+    Done { payload: Json, timing: WorkTiming },
+    Failed { kind: ErrorKind, msg: String },
 }
 
 /// Mutable server state, all under one lock (requests touch it for
@@ -253,7 +257,9 @@ pub struct ServeStats {
     /// Chaos-killed batch slots replayed from scratch (0 without faults).
     pub batch_replays: u64,
     /// Tokens the speculative draft model proposed (process-wide
-    /// `spec.draft_tokens` obs counter; 0 with speculation off).
+    /// `spec.draft_tokens` obs counter; 0 with speculation off). Only a
+    /// function's signature decode speculates: statement heads come from a
+    /// scoring session.
     pub spec_draft_tokens: u64,
     /// Drafted tokens the verifier accepted (`spec.accepted_tokens`).
     pub spec_accepted_tokens: u64,
@@ -799,16 +805,17 @@ fn handle_line(shared: &Shared, line: &str) -> String {
 
 /// The `timing` breakdown of a generate or score response. `cache` is
 /// `"hit"`, `"miss"`, or `"coalesced"` (`"none"` for score, which bypasses
-/// the cache); `queue_ms`/`decode_ms`/`tokens` describe the work that
-/// produced the payload (zero for cache hits; for score, `tokens` is the
-/// summed candidate length and `decode_ms` the wall time of the scoring
-/// call).
-fn timing_json(queue_ms: u64, cache: &str, decode_ms: f64, tokens: u64) -> Json {
+/// the cache); the other fields describe the work that produced the
+/// payload (zero for cache hits; for score, `tokens` is the summed candidate
+/// length and `decode_ms` and `model_ms` are both the wall time of the
+/// scoring call).
+fn timing_json(cache: &str, t: &WorkTiming) -> Json {
     Json::obj([
-        ("queue_ms", Json::num_u64(queue_ms)),
+        ("queue_ms", Json::num_u64(t.queue_ms)),
         ("cache", Json::str(cache)),
-        ("decode_ms", Json::num_f64(decode_ms)),
-        ("tokens", Json::num_u64(tokens)),
+        ("decode_ms", Json::num_f64(t.decode_ms)),
+        ("model_ms", Json::num_f64(t.model_ms)),
+        ("tokens", Json::num_u64(t.tokens)),
     ])
 }
 
@@ -835,7 +842,7 @@ fn handle_generate(
             false,
             payload,
             trace,
-            timing_json(0, "hit", 0.0, 0),
+            timing_json("hit", &WorkTiming::default()),
         ),
         Submit::Wait { rx, coalesced } => wait_outcome(&rx, deadline_ms, id, coalesced, trace),
         Submit::Shed => protocol::err_response(
@@ -887,23 +894,13 @@ fn wait_outcome(
 ) -> String {
     let margin = Duration::from_millis(deadline_ms) + Duration::from_secs(300);
     match rx.recv_timeout(margin) {
-        Ok(Outcome::Done {
-            payload,
-            queue_ms,
-            decode_ms,
-            tokens,
-        }) => generate_ok(
+        Ok(Outcome::Done { payload, timing }) => generate_ok(
             id,
             false,
             coalesced,
             payload,
             trace,
-            timing_json(
-                queue_ms,
-                if coalesced { "coalesced" } else { "miss" },
-                decode_ms,
-                tokens,
-            ),
+            timing_json(if coalesced { "coalesced" } else { "miss" }, &timing),
         ),
         Ok(Outcome::Failed { kind, msg }) => protocol::err_response(id, kind, &msg),
         Err(_) => protocol::err_response(
@@ -1035,7 +1032,13 @@ fn handle_score(
         .try_score_with(&mut replica, target, group, candidates, Some(deadline));
     let response = match result {
         Ok(scores) => {
-            let tokens: u64 = candidates.iter().map(|c| c.len() as u64).sum();
+            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            let timing = WorkTiming {
+                queue_ms: 0,
+                decode_ms: wall_ms,
+                model_ms: wall_ms,
+                tokens: candidates.iter().map(|c| c.len() as u64).sum(),
+            };
             let mut fields = vec![
                 ("target", Json::str(target)),
                 ("group", Json::str(group)),
@@ -1047,10 +1050,7 @@ fn handle_score(
             if let Some(t) = trace {
                 fields.push(("trace", Json::str(t.render())));
             }
-            fields.push((
-                "timing",
-                timing_json(0, "none", t0.elapsed().as_secs_f64() * 1e3, tokens),
-            ));
+            fields.push(("timing", timing_json("none", &timing)));
             protocol::ok_response(id, fields)
         }
         Err(e) => {
@@ -1273,13 +1273,11 @@ fn fail_predispatch(shared: &Shared, job: &Job) {
 /// Runs one job on replica slot `i` of its pinned model set. Shared by both
 /// dispatch modes: in replica mode the replica decodes locally; in batch
 /// mode it forwards every decode call to the broker (same call shape, same
-/// bits). Returns `(job, result, queue_ms, tokens, decode_ms)`.
+/// bits). Returns the job, its result and the work's timing.
 type JobRun = (
     Job,
     Result<(vega_corpus::Module, vega::GeneratedFunction), crate::engine::EngineError>,
-    u64,
-    u64,
-    f64,
+    WorkTiming,
 );
 
 fn run_job(shared: &Shared, i: usize, job: Job) -> JobRun {
@@ -1291,10 +1289,12 @@ fn run_job(shared: &Shared, i: usize, job: Job) -> JobRun {
         std::thread::sleep(Duration::from_millis(shared.cfg.slow_ms));
     }
     // Generation runs single-threaded on this worker, so the thread-local
-    // tally is an exact per-job decode attribution. In batch mode the
-    // broker hands each session's token count and step-time share back to
-    // this thread, which bumps the same tally — the attribution protocol is
-    // identical in both modes.
+    // tally is an exact per-job decode and model attribution. In batch mode
+    // the broker hands each greedy session's token count and step-time
+    // share back to this thread, which bumps the same tally — the
+    // attribution protocol is identical in both modes, but the broker's
+    // encoder passes and scoring run on its own thread, so there
+    // `model_ms` covers the decode-step shares only.
     vega_nn::decode::tally::reset();
     // The job's pinned set (not the live registry): key, engine and replica
     // must all describe the same model even mid-swap. Slot `i` is this
@@ -1311,9 +1311,15 @@ fn run_job(shared: &Shared, i: usize, job: Job) -> JobRun {
         Some(job.deadline),
     );
     drop(replica);
-    let (tokens, decode_s) = vega_nn::decode::tally::snapshot();
+    let tally = vega_nn::decode::tally::snapshot();
     let _ = gen_span.finish();
-    (job, result, queue_ms, tokens, decode_s * 1e3)
+    let timing = WorkTiming {
+        queue_ms,
+        decode_ms: tally.decode_seconds * 1e3,
+        model_ms: tally.model_seconds * 1e3,
+        tokens: tally.tokens,
+    };
+    (job, result, timing)
 }
 
 /// Publishes a finished job: cache + counters on success (a failed or
@@ -1321,7 +1327,7 @@ fn run_job(shared: &Shared, i: usize, job: Job) -> JobRun {
 /// content-addressed cache), waiter notification either way.
 fn settle_job(shared: &Shared, run: JobRun) {
     let obs = vega_obs::global();
-    let (job, result, queue_ms, tokens, decode_ms) = run;
+    let (job, result, timing) = run;
     match result {
         Ok((module, gf)) => {
             let payload = protocol::render_generated(&job.target, &job.group, module, &gf);
@@ -1331,16 +1337,7 @@ fn settle_job(shared: &Shared, run: JobRun) {
                 st.generated += 1;
             }
             obs.counter_add("serve.generated", 1);
-            finish(
-                shared,
-                &job.key,
-                &Outcome::Done {
-                    payload,
-                    queue_ms,
-                    decode_ms,
-                    tokens,
-                },
-            );
+            finish(shared, &job.key, &Outcome::Done { payload, timing });
         }
         Err(e) => {
             if e.kind == ErrorKind::DeadlineExceeded {

@@ -6,8 +6,8 @@
 //! Everything lives in a single `#[test]` because `vega_par::set_threads` is
 //! process-global and the scenarios deliberately flip it between 1 and 4.
 
-use std::time::Duration;
-use vega::{Vega, VegaConfig};
+use std::time::{Duration, Instant};
+use vega::{signature_feature_input, TgtIndex, Vega, VegaConfig};
 use vega_model::CodeBe;
 use vega_obs::json::Json;
 use vega_obs::TraceIdGen;
@@ -65,14 +65,100 @@ fn serve_end_to_end() {
         protocol::render_generated(target, group, module, &gf).render()
     };
     let expected_t0g0 = expect(&t0, &g0);
+    one_encoder_pass_per_statement(&reference, &t0);
 
     sequential_cache_and_errors(&checkpoint, &t0, &targets[1], &g0, &expected_t0g0);
     concurrent_coalescing(&checkpoint, &t0, &g0, &expected_t0g0);
     backpressure_and_deadlines(&checkpoint, &targets, &groups);
     telemetry_and_flight(&checkpoint, &t0, &g0, &expected_t0g0);
+    score_matches_per_candidate_logprob(&checkpoint, &t0, &g0);
     // Last: speculation bumps the process-global spec.* counters, which the
     // telemetry scenario asserts are still zero.
     speculative_serving(&checkpoint, &t0, &g0, &expected_t0g0);
+}
+
+fn encodes() -> u64 {
+    vega_obs::global().counter("decode.encodes")
+}
+
+/// Stage 3 runs one encoder pass for the signature decode and one per body
+/// statement, kept or dropped: the statement's session serves its
+/// confidence head and every slot candidate. Nothing else runs in the
+/// process here, so the global counter's delta is exact.
+fn one_encoder_pass_per_statement(reference: &Engine, t0: &str) {
+    let mut dropped = 0;
+    for group in reference.group_names() {
+        let before = encodes();
+        let (_, gf) = reference.generate(t0, &group).expect("direct generation");
+        let body = gf.stmts.len() - 1;
+        dropped += gf.stmts.iter().filter(|st| !st.kept).count();
+        assert_eq!(
+            encodes() - before,
+            1 + body as u64,
+            "{t0}/{group}: one encoder pass for the signature plus one per body statement"
+        );
+    }
+    assert!(dropped > 0, "some dropped statement must be covered");
+}
+
+/// The `score` op scores every candidate of a request on one session: the
+/// served logprobs must equal per-candidate `CodeBe::sequence_logprob` bit
+/// for bit — duplicates and shared prefixes included — and the request must
+/// cost one encoder pass, not one per candidate.
+fn score_matches_per_candidate_logprob(checkpoint: &str, t0: &str, g0: &str) {
+    vega_par::set_threads(1);
+    let engine = engine_from(checkpoint);
+    let vega = engine.vega();
+    let bundle = &vega.templates[g0];
+    let ix = TgtIndex::build(&vega.corpus.try_target(t0).unwrap().descriptions);
+    let sig_input = signature_feature_input(
+        &vega.model().vocab,
+        t0,
+        &bundle.template,
+        &bundle.features,
+        &ix,
+        &vega.catalog,
+        vega.max_input_len(),
+    );
+    let candidates: Vec<Vec<usize>> = vec![
+        vec![5, 9, 2, 11],
+        vec![5, 9, 3],
+        vec![5, 9, 2, 11],
+        vec![5],
+        vec![7, 7, 7, 7],
+        vec![5, 9, 3],
+        vec![5, 9, 2, 11, 4, 6],
+    ];
+    let mut model = vega.model().clone();
+    let want: Vec<String> = candidates
+        .iter()
+        .map(|c| Json::num_f32(model.sequence_logprob(&sig_input, c)).render())
+        .collect();
+
+    let (server, addr) = start(checkpoint, ServeConfig::default());
+    let mut c = Client::connect(&addr).unwrap();
+    let before = encodes();
+    let resp = c.score(t0, g0, &candidates, None).unwrap();
+    assert_eq!(encodes() - before, 1, "one encoder pass per score request");
+    assert_eq!(
+        resp.field("ok").unwrap(),
+        &Json::Bool(true),
+        "{}",
+        resp.render()
+    );
+    // `num_f32` renders the shortest text that round-trips the f32, so
+    // equal text is equal bits.
+    let got: Vec<String> = resp
+        .field("scores")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(Json::render)
+        .collect();
+    assert_eq!(got, want, "served scores differ from per-candidate scoring");
+    server.shutdown();
+    server.join_with_stats();
 }
 
 /// threads=1: cache hits, byte-identity against direct generation, error
@@ -273,7 +359,9 @@ fn telemetry_and_flight(checkpoint: &str, t0: &str, g0: &str, expected: &str) {
 
     // Fresh generation: trace echoed, timing says miss, result bytes
     // untouched by the new envelope fields.
+    let sent = Instant::now();
     let miss = c.generate(t0, g0, None).unwrap();
+    let client_ms = sent.elapsed().as_secs_f64() * 1e3;
     let miss_trace = twin.mint().render();
     assert_eq!(result_render(&miss), expected);
     assert_eq!(
@@ -285,7 +373,15 @@ fn telemetry_and_flight(checkpoint: &str, t0: &str, g0: &str, expected: &str) {
     assert_eq!(timing.field("cache").unwrap().as_str().unwrap(), "miss");
     let tokens = timing.field("tokens").unwrap().as_u64().unwrap();
     assert!(tokens > 0, "a fresh generation decodes at least one token");
-    assert!(timing.field("decode_ms").unwrap().as_f64().unwrap() >= 0.0);
+    // Decode steps are part of the model work, which is part of the
+    // request the client waited for.
+    let decode_ms = timing.field("decode_ms").unwrap().as_f64().unwrap();
+    let model_ms = timing.field("model_ms").unwrap().as_f64().unwrap();
+    assert!(decode_ms >= 0.0);
+    assert!(
+        decode_ms <= model_ms && model_ms <= client_ms,
+        "decode_ms {decode_ms} <= model_ms {model_ms} <= client latency {client_ms}"
+    );
     timing.field("queue_ms").unwrap().as_u64().unwrap();
 
     // Cache hit: new trace, timing says hit with zero decode work.
